@@ -5,6 +5,7 @@
 // the underlying rows as JSON for the machine-readable trajectory.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
@@ -1048,13 +1049,20 @@ Json run_microbench_exp(Engine&, std::ostream& os) {
   // Sink defeating dead-code elimination across iterations.
   double sink = 0.0;
 
-  TextTable t({"kernel", "ns/op"});
+  TextTable t({"kernel", "ns/op", "GFLOP/s"});
   Json rows = Json::array();
-  const auto report = [&](const std::string& name, double ns) {
-    t.new_row().add(name).add_num(ns, 1);
+  // `flops` > 0 (FLOPs per op) adds the rate: FLOPs per ns is GFLOP/s.
+  const auto report = [&](const std::string& name, double ns, double flops = 0.0) {
+    auto& row = t.new_row().add(name).add_num(ns, 1);
     Json j = Json::object();
     j["kernel"] = name;
     j["ns_per_op"] = ns;
+    if (flops > 0.0) {
+      row.add_num(flops / ns, 2);
+      j["gflops_per_s"] = flops / ns;
+    } else {
+      row.add("");
+    }
     rows.push_back(std::move(j));
   };
 
@@ -1084,13 +1092,19 @@ Json run_microbench_exp(Engine&, std::ostream& os) {
     }));
   }
 
-  for (const int n : {64, 256}) {
+  // Square GEMMs, then the value projection's shape: many tokens times a
+  // d_model x d_model weight.
+  for (const std::array<int, 3> mkn : {std::array{64, 64, 64}, std::array{256, 256, 256},
+                                       std::array{4096, 256, 256}}) {
+    const int m = mkn[0], k = mkn[1], n = mkn[2];
     Rng rng(3);
-    const Tensor a = Tensor::randn({n, n}, rng);
-    const Tensor b = Tensor::randn({n, n}, rng);
-    report(fmt("matmul_%dx%d", n, n), time_ns_per_op([&] {
+    const Tensor a = Tensor::randn({m, k}, rng);
+    const Tensor b = Tensor::randn({k, n}, rng);
+    const std::string name =
+        m == n ? fmt("matmul_%dx%d", m, n) : fmt("matmul_%dx%dx%d", m, k, n);
+    report(name, time_ns_per_op([&] {
       sink += nn::matmul(a, b)(0, 0);
-    }, 0.2));
+    }, 0.2), 2.0 * m * k * n);
   }
 
   {

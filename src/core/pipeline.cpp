@@ -4,7 +4,9 @@
 
 #include "common/stats.h"
 #include "core/msgs.h"
+#include "nn/linear.h"
 #include "nn/norm.h"
+#include "nn/softmax.h"
 #include "obs/trace.h"
 #include "quant/fixed_point.h"
 
@@ -173,8 +175,8 @@ void EncoderPipeline::build_reference(const kernels::Backend* backend_opt) const
   for (int layer = 0; layer < m.n_layers; ++layer) {
     LayerRef lr;
     lr.fields = wl_.layer_fields(layer);
-    lr.probs = backend.softmax_lastdim(lr.fields.logits);
-    const Tensor v_ref = backend.matmul(x_ref, layer_value_weights(m, layer));
+    lr.probs = nn::softmax_lastdim(lr.fields.logits);
+    const Tensor v_ref = nn::matmul(x_ref, layer_value_weights(m, layer));
     std::shared_ptr<const kernels::SamplingPlan> plan;
     std::shared_ptr<const kernels::LocalityPlan> locality;
     if (backend.wants_plan()) {
@@ -266,7 +268,7 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
       DEFA_TRACE_SPAN_ARG("quantize_narrow", "kernel", "layer", layer);
       if (cfg.quantize) {
         quantize_offsets(m, wl_.ref_norm(), cfg.bits, locs);
-        probs_hw = backend.softmax_lastdim(quant::fake_quantize(fields.logits, cfg.bits));
+        probs_hw = nn::softmax_lastdim(quant::fake_quantize(fields.logits, cfg.bits));
       }
       if (cfg.narrow) {
         ls.clamp = prune::clamp_to_range(m, wl_.ref_norm(), cfg.ranges, locs);
@@ -304,10 +306,10 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
       if (cfg.quantize) {
         const Tensor xq = quant::fake_quantize(x, cfg.bits);
         const Tensor wq = quant::fake_quantize(w_value, cfg.bits);
-        v = backend.matmul(xq, wq);
+        v = nn::matmul(xq, wq);
         v = quant::fake_quantize(v, cfg.bits);
       } else {
-        v = backend.matmul(x, w_value);
+        v = nn::matmul(x, w_value);
       }
       if (cfg.fwp) zero_pruned_rows(m, fmask, v);
     }

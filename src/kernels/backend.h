@@ -4,18 +4,19 @@
 /// `defa::kernels::Backend` — the pluggable compute-backend seam of the
 /// functional model.
 ///
-/// A backend implements the numeric hot path: dense linear/GEMM, softmax,
-/// and the fused mask-aware MSGS + aggregation kernel.  Every layer above
-/// (nn::msdeform_forward_ref, core::run_msgs, core::EncoderPipeline,
-/// api::Engine and the serve/tools surfaces on top) selects a backend *by
-/// name* through the runtime registry below, so swapping implementations —
-/// or adding new ones (threaded-tile, INTn fast paths, GPU offload) —
-/// never touches the callers.
+/// A backend implements the fused mask-aware MSGS + aggregation kernel,
+/// the numeric hot path the paper targets.  Dense GEMM and softmax are not
+/// backend operations: callers use nn::matmul / nn::linear /
+/// nn::softmax_lastdim directly (docs/KERNELS.md, "Dense GEMM").  Every
+/// layer above (nn::msdeform_forward_ref, core::run_msgs,
+/// core::EncoderPipeline, api::Engine and the serve/tools surfaces on
+/// top) selects a backend *by name* through the runtime registry below,
+/// so swapping implementations — or adding new ones (threaded-tile, INTn
+/// fast paths, GPU offload) — never touches the callers.
 ///
 /// Five backends ship built in:
-///  * `reference` — bit-identical to the historical scalar code paths
-///    (nn::matmul/linear/softmax_lastdim and the pre-refactor core/msgs
-///    loops).  The correctness anchor.
+///  * `reference` — bit-identical to the historical scalar code path (the
+///    pre-refactor core/msgs loops).  The correctness anchor.
 ///  * `fused` — the optimized CPU path: consumes a precomputed
 ///    `SamplingPlan` (level-major SoA bilinear corners + resolved
 ///    value-buffer offsets), skips PAP-pruned points with one predictable
@@ -101,13 +102,6 @@ class Backend {
   /// erroring, and `run_msgs` rejects them with the same message.
   [[nodiscard]] virtual std::string unavailable_reason() const { return {}; }
 
-  /// C = A (MxK) * B (KxN).
-  [[nodiscard]] virtual Tensor matmul(const Tensor& a, const Tensor& b) const = 0;
-  /// Y = X * W (+ bias broadcast over rows).
-  [[nodiscard]] virtual Tensor linear(const Tensor& x, const Tensor& w,
-                                      const Tensor* bias) const = 0;
-  /// Softmax over the last dimension.
-  [[nodiscard]] virtual Tensor softmax_lastdim(const Tensor& t) const = 0;
   /// Fused mask-aware MSGS + aggregation: grid-sample `values` (N_in x D)
   /// at `locs` (N, H, L, P, 2), weight by `probs` (N, H, L*P), return the
   /// (N, D) head-concatenated output.  Shapes are validated by the caller

@@ -26,9 +26,8 @@
 // same surviving points in the same (l, p) order and performs the same
 // Horner-form operations on the same operands as the reference backend,
 // so fp32 results are bit-identical and INTn results are exactly equal.
-// tests/test_kernels.cpp enforces both.  matmul/linear/softmax delegate
-// to the nn/ kernels — MSGS is the operator the paper shows dominates,
-// and the one this backend rewrites.
+// tests/test_kernels.cpp enforces both.  MSGS is the operator the paper
+// shows dominates, and the one this backend rewrites.
 
 #include <vector>
 
@@ -36,8 +35,6 @@
 #include "kernels/backend.h"
 #include "kernels/plan.h"
 #include "nn/bilinear.h"
-#include "nn/linear.h"
-#include "nn/softmax.h"
 #include "quant/fixed_point.h"
 #include "quant/qmsgs.h"
 
@@ -179,19 +176,6 @@ class FusedBackend final : public Backend {
   }
 
   [[nodiscard]] bool wants_plan() const noexcept override { return true; }
-
-  [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b) const override {
-    return nn::matmul(a, b);
-  }
-
-  [[nodiscard]] Tensor linear(const Tensor& x, const Tensor& w,
-                              const Tensor* bias) const override {
-    return nn::linear(x, w, bias);
-  }
-
-  [[nodiscard]] Tensor softmax_lastdim(const Tensor& t) const override {
-    return nn::softmax_lastdim(t);
-  }
 
   [[nodiscard]] Tensor run_msgs(const ModelConfig& m, const Tensor& values,
                                 const Tensor& probs, const Tensor& locs,

@@ -47,8 +47,6 @@
 #include "kernels/backend.h"
 #include "kernels/plan.h"
 #include "kernels/simd_kernels.h"
-#include "nn/linear.h"
-#include "nn/softmax.h"
 #include "quant/fixed_point.h"
 #include "quant/qmsgs.h"
 
@@ -80,19 +78,6 @@ class QuillBackend final : public Backend {
 
   [[nodiscard]] std::string unavailable_reason() const override {
     return simd_detail::resolve_tier().reason;
-  }
-
-  [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b) const override {
-    return nn::matmul(a, b);
-  }
-
-  [[nodiscard]] Tensor linear(const Tensor& x, const Tensor& w,
-                              const Tensor* bias) const override {
-    return nn::linear(x, w, bias);
-  }
-
-  [[nodiscard]] Tensor softmax_lastdim(const Tensor& t) const override {
-    return nn::softmax_lastdim(t);
   }
 
   [[nodiscard]] Tensor run_msgs(const ModelConfig& m, const Tensor& values,

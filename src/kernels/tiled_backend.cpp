@@ -50,8 +50,6 @@
 #include "kernels/backend.h"
 #include "kernels/plan.h"
 #include "nn/bilinear.h"
-#include "nn/linear.h"
-#include "nn/softmax.h"
 #include "quant/fixed_point.h"
 #include "quant/qmsgs.h"
 
@@ -279,19 +277,6 @@ class TiledBackend final : public Backend {
   }
 
   [[nodiscard]] bool wants_plan() const noexcept override { return true; }
-
-  [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b) const override {
-    return nn::matmul(a, b);
-  }
-
-  [[nodiscard]] Tensor linear(const Tensor& x, const Tensor& w,
-                              const Tensor* bias) const override {
-    return nn::linear(x, w, bias);
-  }
-
-  [[nodiscard]] Tensor softmax_lastdim(const Tensor& t) const override {
-    return nn::softmax_lastdim(t);
-  }
 
   [[nodiscard]] Tensor run_msgs(const ModelConfig& m, const Tensor& values,
                                 const Tensor& probs, const Tensor& locs,

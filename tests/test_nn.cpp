@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -72,6 +76,64 @@ TEST(Linear, LargeMatmulMatchesSerialReference) {
     }
     EXPECT_NEAR(c(i, j), acc, 1e-3);
   }
+}
+
+// The AVX2 tier must reproduce the portable loop bit for bit: signed
+// zeros, subnormals and NaNs in A, with B finite, and with Inf/NaN in a B
+// row whose A column is all zeros, which only the zero-skip keeps out of
+// the accumulators.
+TEST(Linear, Avx2TierBitIdenticalToPortable) {
+  if (nn::best_gemm_tier() != nn::GemmTier::kAvx2) {
+    GTEST_SKIP() << "AVX2 GEMM tier not compiled in or CPU lacks AVX2";
+  }
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {0.0f, -0.0f, 1e-40f, -3e-42f,
+                            std::numeric_limits<float>::denorm_min()};
+  std::vector<std::array<std::int64_t, 3>> shapes;  // {m, n, k}
+  for (const std::int64_t m : {1, 5, 6, 7, 49, 1000}) {
+    for (const std::int64_t n : {1, 8, 15, 16, 17, 33, 256}) {
+      for (const std::int64_t k : {1, 2, 256}) shapes.push_back({m, n, k});
+    }
+  }
+  shapes.push_back({100, 16, 16});  // the tiny preset's value projection
+  Rng rng(9);
+  for (const auto& [m, n, k] : shapes) {
+    for (const bool poison : {false, true}) {
+      Tensor a = Tensor::randn({m, k}, rng);
+      Tensor b = Tensor::randn({k, n}, rng);
+      for (float& v : a.data()) {
+        if (rng.uniform() < 0.2) v = specials[rng.randint(0, 4)];
+      }
+      for (float& v : b.data()) {
+        if (rng.uniform() < 0.05) v = specials[rng.randint(2, 4)];
+      }
+      if (poison) {
+        const std::int64_t col = rng.randint(0, k - 1);
+        for (std::int64_t i = 0; i < m; ++i) a(i, col) = (i % 2 == 0) ? 0.0f : -0.0f;
+        for (std::int64_t j = 0; j < n; ++j) {
+          b(col, j) = (j % 3 == 0) ? kNaN : (j % 3 == 1 ? kInf : -kInf);
+        }
+      }
+      for (std::int64_t i = 3; i < m; i += 7) a(i, rng.randint(0, k - 1)) = kNaN;
+      const Tensor portable = nn::matmul(a, b, nn::GemmTier::kPortable);
+      const Tensor avx2 = nn::matmul(a, b, nn::GemmTier::kAvx2);
+      const Tensor best = nn::matmul(a, b);
+      const std::size_t bytes = portable.data().size_bytes();
+      EXPECT_EQ(std::memcmp(portable.data().data(), avx2.data().data(), bytes), 0)
+          << "m=" << m << " n=" << n << " k=" << k << " poison=" << poison;
+      EXPECT_EQ(std::memcmp(portable.data().data(), best.data().data(), bytes), 0)
+          << "m=" << m << " n=" << n << " k=" << k << " poison=" << poison;
+    }
+  }
+}
+
+TEST(Linear, Avx2TierRejectedWhereUnavailable) {
+  if (nn::best_gemm_tier() == nn::GemmTier::kAvx2) GTEST_SKIP() << "AVX2 tier available";
+  const Tensor a = Tensor::full({2, 16}, 1.0f);
+  const Tensor b = Tensor::full({16, 16}, 1.0f);
+  EXPECT_THROW((void)nn::matmul(a, b, nn::GemmTier::kAvx2), CheckError);
+  EXPECT_EQ(nn::matmul(a, b)(1, 15), 16.0f);
 }
 
 // -------------------------------------------------------------------- softmax
